@@ -1,16 +1,15 @@
-"""Window-envelope benchmarks: mapping throughput and the transport the
+"""Window-envelope benchmarks: mapping throughput and the pool the
 grids ride.
 
 Envelope grids are larger than ordinary sweeps (they add a window axis
-on top of scenario x jitter x seed), so they are exactly the workload
-the shared-memory result ring exists for.  Two measurements:
+on top of scenario x jitter x seed).  Two measurements:
 
 * the real per-cell cost of mapping a small envelope (simulation +
   headroom capture, replay checks off);
-* ring vs. per-future transport wall clock on an envelope-shaped grid
-  with stubbed (free) cells -- isolating the result path, same
-  methodology as the sweep transport bench -- plus the bit-for-bit
-  equivalence of the two transports' headroom payloads.
+* inline vs. pooled wall clock on an envelope-shaped grid with stubbed
+  (free) cells -- isolating the result path, same methodology as the
+  sweep pool bench -- plus the bit-for-bit equality of the two runs'
+  headroom payloads, per-node headroom included.
 """
 
 from __future__ import annotations
@@ -72,22 +71,30 @@ def test_envelope_mapping_throughput(benchmark):
 
 
 def _fast_envelope_cell(cell) -> CellResult:
-    """Transport-bench stub: free cells with a synthetic headroom payload
-    so the ring carries the full record, not a degenerate one."""
+    """Pool-bench stub: free cells with a synthetic headroom payload --
+    global and for a dozen nodes -- so results carry the full record,
+    not a degenerate one."""
     deficit = max(0, 500_000 - (cell.window_us or 0)) if cell.jitter_us else 0
+
+    def stats(scale: int) -> WindowHeadroomStats:
+        return WindowHeadroomStats(
+            window_us=cell.window_us or 0,
+            late_count=1 if deficit else 0,
+            max_deficit_us=deficit * scale,
+            p50_deficit_us=deficit * scale,
+            p90_deficit_us=deficit * scale,
+            p99_deficit_us=deficit * scale,
+        )
+
     return CellResult(
         scenario=cell.scenario, seed=cell.seed, mode=cell.mode,
         repeat=cell.repeat, jitter_seed=cell.jitter_seed,
         window_us=cell.window_us, jitter_us=cell.jitter_us,
         fingerprint=f"fp|{cell.scenario}|{cell.seed}|{cell.window_us}",
         deliveries=100,
-        headroom=WindowHeadroomStats(
-            window_us=cell.window_us or 0,
-            late_count=1 if deficit else 0,
-            max_deficit_us=deficit,
-            p50_deficit_us=deficit,
-            p90_deficit_us=deficit,
-            p99_deficit_us=deficit,
+        headroom=stats(1),
+        node_headroom=(
+            {f"n{i:03d}": stats(i + 1) for i in range(12)} if deficit else None
         ),
         wall_seconds=0.0,
     )
@@ -95,11 +102,11 @@ def _fast_envelope_cell(cell) -> CellResult:
 
 @pytest.mark.skipif(
     "fork" not in multiprocessing.get_all_start_methods(),
-    reason="transport bench stubs run_cell via fork inheritance",
+    reason="pool bench stubs run_cell via fork inheritance",
 )
-def test_envelope_grid_ring_vs_futures_transport(monkeypatch):
-    """Ring vs. per-future result transport on an envelope-shaped grid:
-    identical cell payloads (headroom included), comparable wall clock.
+def test_envelope_grid_inline_vs_pool(monkeypatch):
+    """Inline vs. two-worker pool on an envelope-shaped grid: identical
+    cell payloads (per-node headroom included), bounded wall clock.
     """
     monkeypatch.setattr(sweep_mod, "run_cell", _fast_envelope_cell)
     seeds = tuple(range(125 if not FULL else 250))
@@ -108,40 +115,39 @@ def test_envelope_grid_ring_vs_futures_transport(monkeypatch):
         jitters_us=(0, 300_000),
         windows_us=(250_000, 500_000),
         seeds=seeds,
-        workers=2,
     )
 
-    def one_pass(transport):
-        runner = _small_runner(transport=transport, **runner_kwargs)
+    def one_pass(workers):
+        runner = _small_runner(workers=workers, **runner_kwargs)
         start = time.perf_counter()
         cells = runner.map()
         return cells, time.perf_counter() - start
 
-    shm_cells, shm_wall = one_pass("shm")
-    fut_cells, fut_wall = one_pass("futures")
+    inline_cells, inline_wall = one_pass(1)
+    pool_cells, pool_wall = one_pass(2)
     grid_cells = len(seeds) * 4
-    assert len(shm_cells) == len(fut_cells) == grid_cells
+    assert len(inline_cells) == len(pool_cells) == grid_cells
 
     def payload(cells):
         return [
             (c.scenario, c.seed, c.window_us, c.jitter_us, c.fingerprint,
-             c.headroom)
+             c.headroom, c.node_headroom)
             for c in cells
         ]
 
-    assert payload(shm_cells) == payload(fut_cells), (
-        "transports must be interchangeable, headroom payload included"
+    assert any(c.node_headroom for c in pool_cells)
+    assert payload(inline_cells) == payload(pool_cells), (
+        "worker count must not change a cell's payload, headroom included"
     )
     emit(render_table(
-        "envelope transport: ring vs futures",
+        "envelope grid: inline vs pool",
         ["metric", "value"],
         [
             ["grid cells", grid_cells],
-            ["shm ring wall (s)", shm_wall],
-            ["per-future wall (s)", fut_wall],
-            ["ratio (futures/shm)", fut_wall / max(shm_wall, 1e-9)],
+            ["inline wall (s)", inline_wall],
+            ["2-worker pool wall (s)", pool_wall],
+            ["ratio (pool/inline)", pool_wall / max(inline_wall, 1e-9)],
         ],
     ))
-    # both transports move free cells; neither may be pathologically
-    # slower than the other on a grid this size
-    assert shm_wall < 30 and fut_wall < 30
+    # free cells on a grid this size: neither path may be pathological
+    assert inline_wall < 30 and pool_wall < 30

@@ -119,8 +119,8 @@ def test_fuzz_grid_throughput(benchmark):
 
 
 def _fast_cell(cell) -> CellResult:
-    """Transport-bench stub: the memory comparison measures the *result
-    path*, not the simulations, so cells must be free."""
+    """Pool-bench stub: the memory bound measures the *result path*, not
+    the simulations, so cells must be free."""
     return CellResult(
         scenario=cell.scenario, seed=cell.seed, mode=cell.mode,
         repeat=cell.repeat, jitter_seed=cell.jitter_seed,
@@ -134,22 +134,29 @@ def _fast_cell(cell) -> CellResult:
     )
 
 
+#: Parent-side peaks the bound below may not exceed: the ``stream()``
+#: peak of the earlier shared-memory result ring on this grid, measured
+#: with the same stub cells (445,296-449,654 bytes over four passes at
+#: 500 cells; 722,355-725,570 at 1000 cells).  The pool loop returns
+#: results on futures and measured ~347 kB / ~521 kB.
+STREAM_PEAK_BOUND_BYTES = 720_000 if FULL else 440_000
+
+
 @pytest.mark.skipif(
     "fork" not in multiprocessing.get_all_start_methods(),
-    reason="transport bench stubs run_cell via fork inheritance",
+    reason="pool bench stubs run_cell via fork inheritance",
 )
-def test_streaming_vs_futures_parent_memory(monkeypatch):
-    """Parent-side result-transport peak on a 500+ cell grid.
+def test_streaming_parent_memory(monkeypatch):
+    """Parent-side peak of ``stream()`` on a 500+ cell grid.
 
-    The per-future path accumulates one pickled ``CellResult`` +
-    ``Future`` + executor work item per cell in the parent; the
-    shared-memory path streams fixed-width records through a bounded
-    ring that the parent folds on the fly.  "Peak memory" here is the
-    parent's Python-heap peak (``tracemalloc``) across the result path
-    and aggregation -- the process-RSS equivalent is not measurable
-    in-process without the allocator noise of the simulator itself, so
-    this is the documented proxy.  Acceptance: the streamed path's peak
-    is >= 1.5x lower.
+    Workers return each result on its own future, at most a window of
+    futures is in flight, and the consumer folds results instead of
+    retaining them.  "Peak memory" here is the parent's Python-heap peak
+    (``tracemalloc``) across the result path and aggregation -- the
+    process-RSS equivalent is not measurable in-process without the
+    allocator noise of the simulator itself, so this is the documented
+    proxy.  A warm-up pass keeps one-time imports out of the figure.
+    Acceptance: the peak stays under :data:`STREAM_PEAK_BOUND_BYTES`.
     """
     import repro.sweep as sweep_mod
 
@@ -162,61 +169,49 @@ def test_streaming_vs_futures_parent_memory(monkeypatch):
     grid_cells = len(SweepRunner(**kwargs).grid())
     assert grid_cells >= 500
 
-    def measure(fn):
-        gc.collect()
-        tracemalloc.start()
-        try:
-            value = fn()
-            _, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
-        return value, peak
-
-    def futures_pass():
-        # the pre-streaming consumption model: run and retain the report
-        report = SweepRunner(transport="futures", **kwargs).run()
-        assert len(report.cells) == grid_cells
-        return report.ok()
-
     def streamed_pass():
         # the streaming consumption model: fold, never retain
         count, fingerprints = 0, set()
-        for result in SweepRunner(transport="shm", **kwargs).stream():
+        for result in SweepRunner(**kwargs).stream():
             count += 1
             fingerprints.add(result.fingerprint)
             assert result.error is None
         assert count == grid_cells
         return len(fingerprints)
 
-    _, futures_peak = measure(futures_pass)
-    _, streamed_peak = measure(streamed_pass)
-    ratio = futures_peak / max(streamed_peak, 1)
+    streamed_pass()  # warm-up
+    gc.collect()
+    tracemalloc.start()
+    try:
+        streamed_pass()
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
     emit(render_table(
-        "result transport: parent peak memory (tracemalloc)",
+        "stream(): parent peak memory (tracemalloc)",
         ["metric", "value"],
         [
             ["grid cells", grid_cells],
-            ["per-future peak (bytes)", futures_peak],
-            ["shm-streamed peak (bytes)", streamed_peak],
-            ["improvement (x)", ratio],
+            ["stream() peak (bytes)", peak],
+            ["bound (bytes)", STREAM_PEAK_BOUND_BYTES],
         ],
     ))
-    assert ratio >= 1.5, (
-        f"streamed transport peak {streamed_peak} not >= 1.5x below "
-        f"per-future peak {futures_peak}"
+    assert peak < STREAM_PEAK_BOUND_BYTES, (
+        f"stream() parent peak {peak} bytes not under "
+        f"{STREAM_PEAK_BOUND_BYTES}"
     )
 
 
-def test_streaming_transport_equivalent_on_real_grid(serial_report):
-    """The streamed transport must be a pure transport change: identical
-    fingerprints, verdicts and cell sets as the serial baseline on a
-    real (simulated) grid."""
-    streamed = SweepRunner(
+def test_pool_equivalent_on_real_grid(serial_report):
+    """The pool must be a pure execution change: identical fingerprints,
+    verdicts and cell sets as the serial baseline on a real (simulated)
+    grid."""
+    pooled = SweepRunner(
         scenarios=SCENARIOS, seeds=SEEDS, workers=PARALLEL_WORKERS,
-        transport="shm",
     ).run()
-    assert streamed.ok(), streamed.render()
-    assert streamed.fingerprint_index() == serial_report.fingerprint_index()
+    assert pooled.ok(), pooled.render()
+    assert pooled.fingerprint_index() == serial_report.fingerprint_index()
+    assert pooled.semantic_digest() == serial_report.semantic_digest()
 
 
 def test_sweep_theorem1_holds_across_grid(serial_report):

@@ -247,7 +247,6 @@ def cmd_sweep(args: argparse.Namespace) -> int:
             modes=args.modes.split(",") if args.modes else None,
             workers=args.workers,
             repeats=args.repeats,
-            transport=args.transport,
             snapshots=args.snapshots,
             artifact_dir=args.artifact_out,
             cell_timeout_s=args.cell_timeout,
@@ -563,10 +562,6 @@ def build_parser() -> argparse.ArgumentParser:
                        help="seed-invariance probe: run each cell under N "
                             "jitter seeds; deterministic modes must "
                             "collapse to one fingerprint per cell")
-    sweep.add_argument("--transport", default="shm",
-                       choices=["shm", "futures"],
-                       help="parallel result path: shared-memory streaming "
-                            "(default) or one pickled future per cell")
     sweep.add_argument("--snapshots", default=None,
                        choices=["cow", "deepcopy"],
                        help="checkpoint mechanism for every cell's DEFINED "
@@ -578,7 +573,7 @@ def build_parser() -> argparse.ArgumentParser:
                             "(enables supervised execution)")
     sweep.add_argument("--retries", type=int, default=None, metavar="N",
                        help="retry budget for transient infra failures "
-                            "(worker crash, ring stall, OOM kill); a cell "
+                            "(worker crash, OOM kill); a cell "
                             "failing transiently more than N times in a row "
                             "is quarantined (enables supervised execution)")
     sweep.add_argument("--journal", default=None, metavar="DIR",

@@ -30,8 +30,7 @@ def _quantile_us(ordered: Sequence[int], q: float) -> int:
 
     Local on purpose: :mod:`repro.core` stays free of
     :mod:`repro.analysis` imports, and nearest-rank (no interpolation)
-    keeps the stats integers -- they ride a fixed-width shared-memory
-    record (:mod:`repro.sweep_stream`)."""
+    keeps the stats integers, so they compare and serialize exactly."""
     if not ordered:
         return 0
     rank = min(len(ordered) - 1, max(0, int(q * len(ordered) + 0.5) - 1))

@@ -12,14 +12,13 @@ jitter level" still took trial and error.  This module closes that loop:
   **topology size** (the ``name@N`` sized Waxman scenarios) and runs
   every cell through the ordinary sweep machinery
   (:meth:`~repro.sweep.SweepRunner.run_cells`, so ``workers > 1``
-  streams results through the shared-memory ring).  Mapping cells run
+  runs the cells on a process pool).  Mapping cells run
   with the Theorem-1 replay *off* -- deliberately undersized windows
   forfeit determinism by construction, and the point of the pass is to
   measure by how much;
 * each cell captures the **full slack-deficit distribution** -- count,
   max, quantiles -- as a :class:`~repro.core.history.WindowHeadroomStats`
-  riding the fixed-width result record, instead of only the escalating
-  warnings;
+  on the cell's result, instead of only the escalating warnings;
 * :meth:`EnvelopeRunner.suggest_window` turns the measured distribution
   into a recommendation: every deficit is a lower bound on the absolute
   reach (``window + deficit = age of the pruned predecessor``) the
@@ -112,8 +111,7 @@ class WindowSuggestion:
     #: more than one entry means the first suggestion escalated.
     rounds: Tuple[Tuple[int, int, int], ...] = ()
     #: Per-node minimal safe windows, derived from the per-node headroom
-    #: the mapping cells carried (the worst-offender slots of the result
-    #: record).  ``window_us`` above is the global answer -- the window
+    #: the mapping cells carried (every node that went late).  ``window_us`` above is the global answer -- the window
     #: every shim in the topology can run at; these are the per-node
     #: lower bounds behind it, so a heterogeneous deployment can size
     #: the quiet nodes tighter than the hot ones.  Sorted worst-first.
@@ -287,7 +285,7 @@ class EnvelopeReport:
             if s.node_windows_us:
                 parts.append("")
                 parts.append(render_table(
-                    "per-node window lower bounds (worst offenders; "
+                    "per-node window lower bounds (nodes that went late; "
                     "global suggestion covers the rest)",
                     ["node", "suggested window (us)"],
                     [[node, window] for node, window in s.node_windows_us],
@@ -366,7 +364,6 @@ class EnvelopeRunner:
         seeds: Sequence[int] = (1,),
         mode: str = "defined",
         workers: int = 1,
-        transport: str = "shm",
         sizes: Optional[Sequence[int]] = None,
         boundary_jitter_us: Optional[int] = None,
         target_quantile: float = 0.99,
@@ -417,7 +414,7 @@ class EnvelopeRunner:
         # must see the names this envelope will actually ship to workers
         self._sweep = SweepRunner(
             scenarios=list(self.scenarios), seeds=self.seeds,
-            workers=workers, transport=transport,
+            workers=workers,
             cell_timeout_s=cell_timeout_s, retries=retries,
         )
         if isinstance(windows_us, str):
@@ -522,8 +519,8 @@ class EnvelopeRunner:
         """Per-node minimal safe windows behind the global suggestion.
 
         The pooled distribution answers "what window keeps *everything*
-        safe"; the per-node headroom riding the result record (the worst
-        offenders per cell) answers "which nodes actually needed it".
+        safe"; the per-node headroom on each result (every node that
+        went late) answers "which nodes actually needed it".
         Same reach formula as :meth:`suggest_window`, applied to each
         node's own distribution, taking the worst reach for a node
         across all mapping cells.  Nodes whose deficits were never

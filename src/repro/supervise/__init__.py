@@ -6,8 +6,8 @@ sweep) stops short of three failure shapes this package covers:
 * a *hung* worker -- an infinite loop or a wedged syscall -- stalls the
   whole grid forever, because nothing ever reaps it;
 * a *transient* infrastructure failure (worker SIGKILLed by the OOM
-  killer, a result-ring push timing out under a stalled consumer) is
-  indistinguishable in the report from a real Theorem-1 divergence; and
+  killer, a pool broken under the cell) is indistinguishable in the
+  report from a real Theorem-1 divergence; and
 * an *interrupted* sweep throws away every completed cell, even though
   cells are pure functions of their identity and therefore idempotent.
 
@@ -18,10 +18,10 @@ with crash-loop quarantine (:mod:`.classify`, :mod:`.executor`), and a
 durable append-only cell journal keyed by content fingerprint that makes
 ``repro sweep --resume`` skip completed cells (:mod:`.journal`).
 
-The package is deliberately *policy*, layered on top of the existing
-transports: :class:`~repro.sweep.SweepRunner` activates it when a
-deadline or retry budget is configured and stays byte-for-byte on the
-legacy paths otherwise.
+It also owns the sweep's two execution loops (:mod:`.executor`):
+:func:`inline_iter` and :func:`pool_iter`.  Supervision is a policy over
+them: :class:`~repro.sweep.SweepRunner` passes one when a deadline or
+retry budget is configured and ``None`` otherwise.
 """
 
 from repro.supervise.classify import (
@@ -32,8 +32,8 @@ from repro.supervise.classify import (
 from repro.supervise.executor import (
     SupervisionPolicy,
     backoff_delay,
-    inline_supervised_iter,
-    supervised_iter,
+    inline_iter,
+    pool_iter,
 )
 from repro.supervise.heartbeat import HeartbeatBoard
 from repro.supervise.journal import (
@@ -52,8 +52,8 @@ __all__ = [
     "classify_error",
     "SupervisionPolicy",
     "backoff_delay",
-    "inline_supervised_iter",
-    "supervised_iter",
+    "inline_iter",
+    "pool_iter",
     "HeartbeatBoard",
     "CellJournal",
     "SKIPPABLE_OUTCOMES",

@@ -5,18 +5,16 @@ the *cell* -- a Theorem-1 divergence, an expectation failure, a scenario
 bug -- because retrying it burns budget to reproduce the same answer
 and, worse, makes the report's execution count lie.  It must retry a
 cell whose failure is a property of the *infrastructure* -- the worker
-was OOM-killed, the result ring stalled, the pool broke under it --
-because the cell itself never got to answer.
+was OOM-killed, the pool broke under it -- because the cell itself never
+got to answer.
 
 Divergences and expectation failures are easy: they arrive as
 *successful* results (``error is None``, ``invariant_ok``/``expected_ok``
 carrying the verdict) and never enter the classifier at all.  What is
-left is error text, from two sources: exceptions surfaced by the worker
-future (pool breakage, ring push failures) and ``error`` strings on
-reported results (``run_cell`` converts in-worker exceptions to text).
-Classification is substring-based over that text -- deliberately so,
-because both sources flatten exceptions to ``"TypeName: message"`` and
-the fixed-width ring record truncates long messages.
+left is error text: ``run_cell`` converts in-worker exceptions to
+``"TypeName: message"``, and the pool loop wraps a future that failed
+to carry its result the same way.  Classification is substring-based
+over that text.
 
 The default is **deterministic**: an unrecognized failure is assumed to
 be the cell's own, so it surfaces immediately instead of being retried
@@ -39,21 +37,12 @@ DETERMINISTIC = "deterministic"
 #:   pressure (the python-level cousin of an OOM kill);
 #: * ``worker process died`` / ``BrokenProcessPool`` / ``pool broken`` --
 #:   the worker was killed out from under the cell (OOM killer, operator
-#:   SIGKILL, pool teardown);
-#: * ``result ring full`` / ``result ring closed`` -- the shared-memory
-#:   transport stalled or was abandoned; the cell may well have computed
-#:   its answer (see :class:`repro.sweep_stream.ResultPushError`, which
-#:   carries it);
-#: * ``cell failed to report its result`` -- the legacy streamed path's
-#:   synthesized wrapper around a per-cell transport failure.
+#:   SIGKILL, pool teardown).
 TRANSIENT_MARKERS = (
     "MemoryError",
     "worker process died",
     "BrokenProcessPool",
     "pool broken",
-    "result ring full",
-    "result ring closed",
-    "cell failed to report its result",
 )
 
 

@@ -1,9 +1,17 @@
-"""The supervised executor: deadlines, classified retries, quarantine.
+"""The sweep executor: one inline loop and one windowed pool loop.
 
-This is the policy layer over the shared-memory streamed transport.  It
-keeps the transport's shape -- a :class:`~repro.sweep_stream.ResultRing`
-for payloads, windowed future submission for scheduling -- and adds a
-supervision loop the legacy path lacks:
+:class:`~repro.sweep.SweepRunner` runs every grid through one of two
+functions here.  :func:`inline_iter` executes cells in the calling
+process (``workers=1`` without a deadline).  :func:`pool_iter` fans
+them out to a process pool with at most ``max(4*workers, 16)`` futures
+in flight; each worker returns its :class:`~repro.sweep.CellResult` on
+its own future, so a cell's reported outcome is the same whatever the
+worker count.
+
+Both take an optional :class:`SupervisionPolicy`.  ``None`` is the
+inert case: no heartbeat board, no retries, and a broken pool ends the
+grid with ``worker process died before reporting this cell`` error
+results.  A policy adds:
 
 * **watchdog**: workers stamp each cell's start on a
   :class:`~repro.supervise.heartbeat.HeartbeatBoard`; the parent polls
@@ -21,21 +29,15 @@ supervision loop the legacy path lacks:
   (archived for triage when an artifact directory is configured) so a
   crash-looping cell cannot burn the grid's wall-clock budget.
 * **pool generations**: any pool breakage (a reap, an OOM kill, a hard
-  crash) ends the current *generation* -- drain the ring, settle every
-  in-flight cell (reaped => timed out; otherwise => transient failure),
-  then rebuild the pool with a fresh heartbeat board and keep going.
-  One hung worker costs one generation, not the grid.
+  crash) ends the current *generation* -- collect every future that
+  finished, settle every in-flight cell (reaped => timed out;
+  otherwise => transient failure), then rebuild the pool with a fresh
+  heartbeat board and keep going.  One hung worker costs one
+  generation, not the grid.
 
-Results that escaped a broken generation still count: the ring is
-drained before in-flight cells are settled, and a record always beats a
-synthesized failure.  Ring-push failures arrive as
-:class:`~repro.sweep_stream.ResultPushError` carrying the worker's
-encoded record, so the parent recovers the finished result without
-re-executing the cell.
-
-The parent's transport state stays O(window + workers); the per-cell
-supervision state is a few integers per cell -- the same order as the
-result list the caller is accumulating anyway.
+The parent's scheduling state stays O(window + workers); the per-cell
+bookkeeping is a few integers per cell -- the same order as the result
+list the caller is accumulating anyway.
 """
 
 from __future__ import annotations
@@ -47,7 +49,7 @@ import signal
 import tempfile
 import time
 from collections import deque
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from typing import Callable, Dict, List, Optional, Sequence, Set
 
 from repro.supervise.classify import TRANSIENT, classify_error
@@ -109,6 +111,62 @@ def backoff_delay(
     return exponential * (0.5 + rng.random())
 
 
+def _quarantined(cell, errors: List[str], artifact_dir: Optional[str]):
+    """The parked result of a cell that exhausted its retry budget."""
+    from repro.sweep import cell_result
+
+    archive_quarantine(artifact_dir or cell.artifact_dir, cell, errors)
+    return cell_result(
+        cell,
+        error=f"quarantined after {len(errors)} consecutive transient "
+        f"failures; last: {errors[-1]}",
+        outcome="quarantined",
+    )
+
+
+# ----------------------------------------------------------------------
+# the inline loop
+# ----------------------------------------------------------------------
+
+def inline_iter(
+    cells: Sequence,
+    policy: Optional[SupervisionPolicy] = None,
+    artifact_dir: Optional[str] = None,
+    progress: Optional[Callable] = None,
+):
+    """Run ``cells`` in this process; yield ``(index, result)`` in order.
+
+    With a policy, transient in-cell failures retry with backoff and
+    exhaustion quarantines, as in :func:`pool_iter`; a deadline needs a
+    separate process to reap, so the runner sends those grids to the
+    pool even single-worker.
+    """
+    import repro.sweep as sweep
+
+    for index, cell in enumerate(cells):
+        # looked up per call: tests and the perf tracer patch run_cell
+        result = sweep.run_cell(cell)
+        attempts = 1
+        errors: List[str] = []
+        while (
+            policy is not None
+            and result.error is not None
+            and classify_error(result.error) == TRANSIENT
+        ):
+            errors.append(result.error)
+            if len(errors) > policy.retries:
+                result = _quarantined(cell, errors, artifact_dir)
+                break
+            time.sleep(backoff_delay(policy, cell_fingerprint(cell), len(errors)))
+            result = sweep.run_cell(cell)
+            attempts += 1
+        if attempts > 1:
+            result = replace(result, attempts=attempts)
+        if progress is not None:
+            progress(result)
+        yield index, result
+
+
 # ----------------------------------------------------------------------
 # worker-process plumbing (module-level so it pickles by reference)
 # ----------------------------------------------------------------------
@@ -117,10 +175,8 @@ _WORKER_BOARD: Optional[HeartbeatBoard] = None
 _WORKER_SLOT: Optional[int] = None
 
 
-def supervised_worker_init(
-    ring_name: str, lock, capacity: int, board_name: str, claim_dir: str
-) -> None:
-    """Pool initializer: attach the result ring, claim a heartbeat slot.
+def _claim_slot(board_name: str, claim_dir: str) -> None:
+    """Pool initializer under a policy: claim a heartbeat slot.
 
     Slot claiming must not touch any cross-process lock: pool breakage
     SIGTERMs sibling workers at arbitrary instructions, and a worker
@@ -132,9 +188,6 @@ def supervised_worker_init(
     (and claim directories) are per pool generation, so a replacement
     pool never fights a dead predecessor for slots.
     """
-    from repro.sweep_stream import stream_worker_init
-
-    stream_worker_init(ring_name, lock, capacity)
     global _WORKER_BOARD, _WORKER_SLOT
     board = HeartbeatBoard.attach(board_name)
     pid = os.getpid()
@@ -159,112 +212,35 @@ def supervised_worker_init(
     )
 
 
-def run_supervised_cell(index: int, cell) -> int:
-    """Execute one cell under heartbeat cover and stream its result."""
-    from repro.sweep_stream import run_streamed_cell
+def run_pool_cell(index: int, cell):
+    """Execute one cell in a pool worker and return its result, under
+    heartbeat cover when the worker claimed a slot."""
+    import repro.sweep as sweep
 
-    assert _WORKER_BOARD is not None and _WORKER_SLOT is not None, (
-        "worker not attached to a heartbeat board"
-    )
+    if _WORKER_BOARD is None:
+        return sweep.run_cell(cell)
     pid = os.getpid()
     _WORKER_BOARD.begin(_WORKER_SLOT, pid, index)
     try:
-        return run_streamed_cell(index, cell)
+        return sweep.run_cell(cell)
     finally:
         _WORKER_BOARD.clear(_WORKER_SLOT, pid)
 
 
 # ----------------------------------------------------------------------
-# parent-side supervision loop
+# the pool loop
 # ----------------------------------------------------------------------
 
-@dataclass
-class _CellState:
-    """Per-cell supervision bookkeeping."""
-
-    attempts: int = 0          # executions submitted so far
-    failures: int = 0          # consecutive transient failures
-    retry_at: float = 0.0      # monotonic instant the next attempt may start
-    errors: List[str] = field(default_factory=list)
-
-
-def _error_result(cell, error: str):
-    from repro.sweep import CellResult
-
-    return CellResult(
-        scenario=cell.scenario,
-        seed=cell.seed,
-        mode=cell.mode,
-        repeat=cell.repeat,
-        jitter_seed=cell.jitter_seed,
-        window_us=cell.window_us,
-        jitter_us=cell.jitter_us,
-        snapshots=cell.snapshots,
-        error=error,
-    )
-
-
-def inline_supervised_iter(
-    cells: Sequence,
-    policy: SupervisionPolicy,
-    artifact_dir: Optional[str] = None,
-    progress: Optional[Callable] = None,
-):
-    """Single-process supervision: classified retries without a pool.
-
-    Serves ``workers=1`` grids with a retry budget but no deadline (a
-    deadline needs a separate process to reap, so the runner promotes
-    those to a pool of one).  Semantics match the pooled loop: transient
-    in-cell failures retry with backoff, exhaustion quarantines,
-    deterministic outcomes are final on first execution.
-    """
-    from repro.sweep import run_cell
-
-    for index, cell in enumerate(cells):
-        fingerprint = cell_fingerprint(cell)
-        attempts = 0
-        errors: List[str] = []
-        while True:
-            attempts += 1
-            result = run_cell(cell)
-            if (
-                result.error is not None
-                and classify_error(result.error) == TRANSIENT
-            ):
-                errors.append(result.error)
-                if len(errors) > policy.retries:
-                    archive_quarantine(
-                        artifact_dir or cell.artifact_dir, cell, errors
-                    )
-                    result = _error_result(
-                        cell,
-                        f"quarantined after {len(errors)} consecutive "
-                        f"transient failures; last: {result.error}",
-                    )
-                    result = replace(
-                        result, attempts=attempts, outcome="quarantined"
-                    )
-                    break
-                time.sleep(backoff_delay(policy, fingerprint, len(errors)))
-                continue
-            result = replace(result, attempts=attempts, outcome="completed")
-            break
-        if progress is not None:
-            progress(result)
-        yield index, result
-
-
-def supervised_iter(
+def pool_iter(
     cells: Sequence,
     *,
     workers: int,
     ctx,
-    policy: SupervisionPolicy,
-    ring_capacity: int,
+    policy: Optional[SupervisionPolicy] = None,
     artifact_dir: Optional[str] = None,
     progress: Optional[Callable] = None,
 ):
-    """Run ``cells`` on a supervised worker pool; yield ``(index, result)``.
+    """Run ``cells`` on a worker pool; yield ``(index, result)``.
 
     Yields in completion order.  Every cell is eventually yielded with
     exactly one of the outcomes ``completed`` (a result arrived, error
@@ -274,16 +250,17 @@ def supervised_iter(
     from concurrent.futures import ProcessPoolExecutor, wait
     from concurrent.futures.process import BrokenProcessPool
 
-    from repro.sweep import _merge_streamed
-    from repro.sweep_stream import ResultPushError, ResultRing, decode_record
+    from repro.sweep import cell_result
 
     cells = list(cells)
     if not cells:
         return
-    states = [_CellState() for _ in cells]
-    fingerprints = [cell_fingerprint(cell) for cell in cells]
     done = [False] * len(cells)
-    waiting: Set[int] = set()
+    attempts = [0] * len(cells)      # executions submitted so far
+    #: Consecutive transient failures, for cells that had any.
+    errors: Dict[int, List[str]] = {}
+    #: Cells waiting out a retry backoff -> monotonic instant of release.
+    retry_at: Dict[int, float] = {}
     outbox: List = []
     window = max(4 * workers, 16)
 
@@ -298,58 +275,50 @@ def supervised_iter(
         if done[index]:
             return
         done[index] = True
-        waiting.discard(index)
+        retry_at.pop(index, None)
         outbox.append((
             index,
-            replace(
-                result,
-                attempts=max(states[index].attempts, 1),
-                outcome=outcome,
-            ),
+            replace(result, attempts=max(attempts[index], 1), outcome=outcome),
         ))
 
     def transient_failure(index: int, error: str) -> None:
         if done[index]:
             return
-        state = states[index]
-        state.failures += 1
-        state.errors.append(error)
-        if state.failures > policy.retries:
-            archive_quarantine(
-                artifact_dir or cells[index].artifact_dir,
-                cells[index],
-                state.errors,
-            )
+        failed = errors.setdefault(index, [])
+        failed.append(error)
+        if len(failed) > policy.retries:
             deliver(
                 index,
-                _error_result(
-                    cells[index],
-                    f"quarantined after {state.failures} consecutive "
-                    f"transient failures; last: {error}",
-                ),
+                _quarantined(cells[index], failed, artifact_dir),
                 outcome="quarantined",
             )
         else:
-            state.retry_at = time.monotonic() + backoff_delay(
-                policy, fingerprints[index], state.failures
+            retry_at[index] = time.monotonic() + backoff_delay(
+                policy, cell_fingerprint(cells[index]), len(failed)
             )
-            waiting.add(index)
 
-    def settle_reported(index: int, result) -> None:
-        """A result actually arrived: final unless its error is transient."""
-        if result.error is not None and classify_error(result.error) == TRANSIENT:
+    def settle(index: int, result) -> None:
+        """A result arrived: final unless a policy retries its transient
+        error."""
+        if (
+            policy is not None
+            and result.error is not None
+            and classify_error(result.error) == TRANSIENT
+        ):
             transient_failure(index, result.error)
         else:
             deliver(index, result)
 
-    ring = ResultRing.create(capacity=ring_capacity, lock=ctx.Lock())
-
-    def drain() -> None:
-        for raw in ring.pop_all():
-            rindex, payload = decode_record(raw)
-            if done[rindex]:
-                continue
-            settle_reported(rindex, _merge_streamed(cells[rindex], payload))
+    def settle_future(index: int, future) -> None:
+        exc = future.exception()
+        if exc is None:
+            settle(index, future.result())
+        else:  # e.g. an unpicklable result: the pool itself is healthy
+            settle(index, cell_result(
+                cells[index],
+                error="cell failed to report its result: "
+                f"{type(exc).__name__}: {exc}",
+            ))
 
     #: Consecutive generations that broke without advancing any cell's
     #: state: a pool that cannot even start (initializer crash, fork
@@ -358,195 +327,178 @@ def supervised_iter(
 
     def _progress_marker() -> tuple:
         return (
-            sum(state.attempts for state in states),
-            sum(state.failures for state in states),
+            sum(attempts),
+            sum(len(failed) for failed in errors.values()),
             sum(done),
         )
 
-    try:
-        while not all(done):
-            # -- one pool generation --------------------------------------
-            before = _progress_marker()
-            board = HeartbeatBoard.create(workers)
-            claim_dir = tempfile.mkdtemp(prefix="repro-heartbeat-")
-            pool = ProcessPoolExecutor(
-                max_workers=workers,
-                mp_context=ctx,
-                initializer=supervised_worker_init,
-                initargs=(
-                    ring.name, ring.lock, ring.capacity, board.name, claim_dir
-                ),
-            )
-            pending: Dict = {}          # future -> cell index
-            in_flight: Set[int] = set()
-            reaped: Dict[int, int] = {}  # cell index -> reaped worker pid
-            prev_overdue: Set = set()
-            broken: Optional[BaseException] = None
-            backlog = deque(
-                index
-                for index in range(len(cells))
-                if not done[index] and index not in waiting
-            )
+    while not all(done):
+        # -- one pool generation ------------------------------------------
+        before = _progress_marker()
+        board = claim_dir = None
+        initargs = ()
+        if policy is not None:
             try:
-                while True:
-                    now = time.monotonic()
-                    for index in sorted(waiting):
-                        if states[index].retry_at <= now:
-                            waiting.discard(index)
-                            backlog.append(index)
-                    while broken is None and backlog and len(pending) < window:
-                        index = backlog.popleft()
-                        if done[index]:
-                            continue
-                        try:
-                            future = pool.submit(
-                                run_supervised_cell, index, cells[index]
-                            )
-                        except Exception as exc:  # pool broke mid-submit
-                            broken = exc
-                            backlog.appendleft(index)
-                            break
-                        states[index].attempts += 1
-                        pending[future] = index
-                        in_flight.add(index)
-                    if not pending:
-                        drain()
-                        yield from flush()
-                        if broken is not None or all(done):
-                            break
-                        if backlog:
-                            continue
-                        if waiting:
-                            next_retry = min(
-                                states[index].retry_at for index in waiting
-                            )
-                            time.sleep(
-                                min(
-                                    max(next_retry - time.monotonic(), 0.0),
-                                    _POLL_S,
-                                )
-                            )
-                            continue
-                        break  # pragma: no cover - defensive: no work left
-                    finished, _ = wait(list(pending), timeout=_POLL_S)
-                    for future in finished:
-                        index = pending.pop(future)
-                        exc = future.exception()
-                        if exc is None:
-                            in_flight.discard(index)
-                            continue
-                        if isinstance(exc, BrokenProcessPool):
-                            # the pool broke under this cell -- leave it
-                            # in-flight so teardown settles it (after the
-                            # drain, so an escaped record still wins)
-                            if broken is None:
-                                broken = exc
-                            continue
-                        in_flight.discard(index)
-                        if isinstance(exc, ResultPushError):
-                            # the cell finished; its record rode the
-                            # exception instead of the ring -- recover it
-                            try:
-                                _idx, payload = decode_record(exc.record)
-                            except Exception as decode_exc:
-                                transient_failure(
-                                    index,
-                                    f"{type(exc).__name__}: {exc} "
-                                    f"(record undecodable: {decode_exc})",
-                                )
-                            else:
-                                if not done[index]:
-                                    settle_reported(
-                                        index,
-                                        _merge_streamed(cells[index], payload),
-                                    )
-                            continue
-                        text = f"{type(exc).__name__}: {exc}"
-                        if classify_error(text) == TRANSIENT:
-                            transient_failure(index, text)
-                        else:
-                            deliver(index, _error_result(cells[index], text))
-                    drain()
-                    yield from flush()
-                    if policy.cell_timeout_s is not None and broken is None:
-                        overdue = set(board.overdue(policy.cell_timeout_s))
-                        # reap only readings stable across two polls: a
-                        # torn slot read must not kill an innocent worker
-                        for slot, pid, index, start_ns in overdue & prev_overdue:
-                            try:
-                                os.kill(pid, signal.SIGKILL)
-                            except (ProcessLookupError, PermissionError):
-                                pass
-                            reaped[index] = pid
-                            if broken is None:
-                                broken = RuntimeError(
-                                    f"hung worker pid {pid} reaped "
-                                    f"(cell {index} past deadline)"
-                                )
-                        prev_overdue = overdue
-                    if broken is not None:
+                board = HeartbeatBoard.create(workers)
+            except OSError as exc:
+                raise RuntimeError(
+                    "supervised sweep execution (cell_timeout_s/retries on a "
+                    f"worker pool) needs shared memory for its heartbeat "
+                    f"board: {exc}"
+                ) from exc
+            claim_dir = tempfile.mkdtemp(prefix="repro-heartbeat-")
+            initargs = (board.name, claim_dir)
+        pool = ProcessPoolExecutor(
+            max_workers=workers,
+            mp_context=ctx,
+            initializer=_claim_slot if board is not None else None,
+            initargs=initargs,
+        )
+        pending: Dict = {}          # future -> cell index
+        in_flight: Set[int] = set()
+        reaped: Dict[int, int] = {}  # cell index -> reaped worker pid
+        prev_overdue: Set = set()
+        broken: Optional[BaseException] = None
+        backlog = deque(
+            index
+            for index in range(len(cells))
+            if not done[index] and index not in retry_at
+        )
+        try:
+            while True:
+                now = time.monotonic()
+                for index in sorted(retry_at):
+                    if retry_at[index] <= now:
+                        del retry_at[index]
+                        backlog.append(index)
+                while broken is None and backlog and len(pending) < window:
+                    index = backlog.popleft()
+                    if done[index]:
+                        continue
+                    try:
+                        future = pool.submit(run_pool_cell, index, cells[index])
+                    except Exception as exc:  # pool broke mid-submit
+                        broken = exc
+                        backlog.appendleft(index)
                         break
-            except GeneratorExit:
-                ring.close_for_writers()
-                pool.shutdown(wait=False, cancel_futures=True)
-                board.destroy()
-                shutil.rmtree(claim_dir, ignore_errors=True)
-                raise
-            # -- generation teardown --------------------------------------
-            # join workers only when the pool is healthy; after a reap or
-            # hard crash the executor's own cleanup handles the corpses
-            pool.shutdown(wait=broken is None, cancel_futures=True)
-            # records that escaped before the breakage still count, and
-            # must win over synthesized outcomes below
-            drain()
-            # the board knows which in-flight cells were actually
-            # *executing* when the generation died: their slots are still
-            # stamped (a crashed worker never reaches clear()).  Cells
-            # whose futures broke while merely queued are collateral --
-            # they go back to the backlog with no failure mark, so a
-            # crash-looping neighbour cannot quarantine innocents.
-            executing = {entry[2] for entry in board.active()}
-            executing.update(reaped)
-            for index in sorted(in_flight):
-                if done[index]:
-                    continue
-                pid = reaped.get(index)
-                if pid is not None:
-                    deliver(
-                        index,
-                        _error_result(
-                            cells[index],
-                            f"cell exceeded the {policy.cell_timeout_s:g}s "
-                            f"wall-clock deadline (worker pid {pid} reaped)",
-                        ),
-                        outcome="timed_out",
-                    )
-                elif index in executing:
-                    transient_failure(
-                        index,
-                        "worker pool broken while the cell was executing"
-                        + (f": {broken}" if broken is not None else ""),
-                    )
-                # else: queued when the pool broke -- next generation's
-                # backlog rebuild resubmits it, penalty-free
-            board.destroy()
-            shutil.rmtree(claim_dir, ignore_errors=True)
-            if broken is not None and _progress_marker() == before:
-                barren_generations += 1
-                if barren_generations >= 3:
-                    for index in range(len(cells)):
-                        if not done[index]:
-                            deliver(
-                                index,
-                                _error_result(
-                                    cells[index],
-                                    "supervised worker pool failed to start "
-                                    f"after {barren_generations} attempts: "
-                                    f"{broken}",
-                                ),
+                    attempts[index] += 1
+                    pending[future] = index
+                    in_flight.add(index)
+                if not pending:
+                    yield from flush()
+                    if broken is not None or all(done):
+                        break
+                    if backlog:
+                        continue
+                    if retry_at:
+                        next_retry = min(retry_at.values())
+                        time.sleep(
+                            min(max(next_retry - time.monotonic(), 0.0), _POLL_S)
+                        )
+                        continue
+                    break  # pragma: no cover - defensive: no work left
+                finished, _ = wait(list(pending), timeout=_POLL_S)
+                for future in finished:
+                    if isinstance(future.exception(), BrokenProcessPool):
+                        # the pool broke under this cell -- leave it
+                        # pending so teardown settles it
+                        if broken is None:
+                            broken = future.exception()
+                        continue
+                    index = pending.pop(future)
+                    in_flight.discard(index)
+                    settle_future(index, future)
+                yield from flush()
+                if board is not None and policy.cell_timeout_s is not None \
+                        and broken is None:
+                    overdue = set(board.overdue(policy.cell_timeout_s))
+                    # reap only readings stable across two polls: a
+                    # torn slot read must not kill an innocent worker
+                    for slot, pid, index, start_ns in overdue & prev_overdue:
+                        try:
+                            os.kill(pid, signal.SIGKILL)
+                        except (ProcessLookupError, PermissionError):
+                            pass
+                        reaped[index] = pid
+                        if broken is None:
+                            broken = RuntimeError(
+                                f"hung worker pid {pid} reaped "
+                                f"(cell {index} past deadline)"
                             )
-            else:
-                barren_generations = 0
+                    prev_overdue = overdue
+                if broken is not None:
+                    break
+        except GeneratorExit:
+            pool.shutdown(wait=False, cancel_futures=True)
+            _discard_board(board, claim_dir)
+            raise
+        # -- generation teardown ------------------------------------------
+        # join workers only when the pool is healthy; after a reap or
+        # hard crash the executor's own cleanup handles the corpses
+        pool.shutdown(wait=broken is None, cancel_futures=True)
+        # results that arrived before the breakage still count, and must
+        # win over the synthesized outcomes below
+        for future, index in pending.items():
+            if future.done() and not future.cancelled() \
+                    and future.exception() is None:
+                in_flight.discard(index)
+                settle(index, future.result())
+        if policy is None:
+            # inert: a broken pool ends the grid
+            for index in range(len(cells)):
+                if not done[index]:
+                    deliver(index, cell_result(
+                        cells[index],
+                        error="worker process died before reporting this "
+                        f"cell: {broken}",
+                    ))
             yield from flush()
-    finally:
-        ring.destroy()
+            return
+        # the board knows which in-flight cells were actually *executing*
+        # when the generation died: their slots are still stamped (a
+        # crashed worker never reaches clear()).  Cells whose futures
+        # broke while merely queued are collateral -- they go back to the
+        # backlog with no failure mark, so a crash-looping neighbour
+        # cannot quarantine innocents.
+        executing = {entry[2] for entry in board.active()}
+        executing.update(reaped)
+        for index in sorted(in_flight):
+            pid = reaped.get(index)
+            if pid is not None:
+                deliver(
+                    index,
+                    cell_result(
+                        cells[index],
+                        error=f"cell exceeded the {policy.cell_timeout_s:g}s "
+                        f"wall-clock deadline (worker pid {pid} reaped)",
+                    ),
+                    outcome="timed_out",
+                )
+            elif index in executing:
+                transient_failure(
+                    index,
+                    "worker pool broken while the cell was executing"
+                    + (f": {broken}" if broken is not None else ""),
+                )
+            # else: queued when the pool broke -- next generation's
+            # backlog rebuild resubmits it, penalty-free
+        _discard_board(board, claim_dir)
+        if broken is not None and _progress_marker() == before:
+            barren_generations += 1
+            if barren_generations >= 3:
+                for index in range(len(cells)):
+                    if not done[index]:
+                        deliver(index, cell_result(
+                            cells[index],
+                            error="supervised worker pool failed to start "
+                            f"after {barren_generations} attempts: {broken}",
+                        ))
+        else:
+            barren_generations = 0
+        yield from flush()
+
+
+def _discard_board(board: Optional[HeartbeatBoard], claim_dir: Optional[str]) -> None:
+    if board is not None:
+        board.destroy()
+        shutil.rmtree(claim_dir, ignore_errors=True)

@@ -38,7 +38,9 @@ from typing import List, Optional, Tuple
 #: Header: slot count.
 _HEADER = struct.Struct("<Q")
 #: Slot: worker pid, active cell index + 1 (0 = idle), start monotonic ns.
-_SLOT = struct.Struct("<QQQ")
+#: The start is signed: on a freshly booted host a stamp backdated past
+#: the monotonic epoch (boot) is negative and must still pack.
+_SLOT = struct.Struct("<QQq")
 _DATA_OFFSET = 16
 
 

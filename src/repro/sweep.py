@@ -51,12 +51,11 @@ Two scale-out mechanisms round the grid machinery out:
   network timing -- and for the deterministic modes (``defined``,
   ``ddos``) the ``K`` fingerprints must collapse to one.  A split is a
   first-class divergence (:meth:`SweepReport.invariance_splits`).
-* with ``workers > 1`` results stream back through a bounded
-  :mod:`multiprocessing.shared_memory` ring
-  (:mod:`repro.sweep_stream`) instead of one pickled future hop per
-  cell, so 1000+-cell grids report progress live and the parent's
-  result-transport memory stays flat; ``transport="futures"`` keeps the
-  legacy path for comparison.
+* with ``workers > 1`` cells run on a process pool with a bounded
+  window of futures in flight (:func:`repro.supervise.pool_iter`); each
+  worker returns its whole :class:`CellResult` on its future, so
+  1000+-cell grids report progress live, the parent's state stays flat,
+  and a cell reports the same result at any worker count.
 """
 
 from __future__ import annotations
@@ -67,7 +66,6 @@ import random
 import re
 import time
 import zlib
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, replace
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
@@ -1195,8 +1193,7 @@ class SweepCell:
     #: both executions as content-addressed run bundles in this
     #: directory (the production bundle embeds the recording, so the
     #: divergence is replayable offline with ``repro diff``).  Workers
-    #: write the bundles themselves: the fixed-width result record
-    #: cannot carry paths.
+    #: write the bundles themselves.
     artifact_dir: Optional[str] = None
 
     @property
@@ -1239,9 +1236,8 @@ class CellResult:
     #: slack-deficit distribution plus the *effective* window the run
     #: used -- the envelope mapper's raw material.
     headroom: Optional[WindowHeadroomStats] = None
-    #: Per-node headroom for nodes that went late (worst offenders only
-    #: when streamed; see ``repro.sweep_stream.NODE_HEADROOM_SLOTS``).
-    #: Keys are node ids; lets the envelope recommend per-node windows.
+    #: Per-node headroom for every node that went late.  Keys are node
+    #: ids; lets the envelope recommend per-node windows.
     node_headroom: Optional[Dict[str, WindowHeadroomStats]] = None
     wall_seconds: float = 0.0
     error: Optional[str] = None
@@ -1269,6 +1265,21 @@ class CellResult:
             and self.invariant_ok is not False
             and self.expected_ok is not False
         )
+
+
+def cell_result(cell: SweepCell, **fields) -> CellResult:
+    """A :class:`CellResult` carrying ``cell``'s identity plus ``fields``."""
+    return CellResult(
+        scenario=cell.scenario,
+        seed=cell.seed,
+        mode=cell.mode,
+        repeat=cell.repeat,
+        jitter_seed=cell.jitter_seed,
+        window_us=cell.window_us,
+        jitter_us=cell.jitter_us,
+        snapshots=cell.snapshots,
+        **fields,
+    )
 
 
 def _archive_divergence(cell: SweepCell, production, replay) -> None:
@@ -1367,15 +1378,8 @@ def run_cell(cell: SweepCell) -> CellResult:
                 if invariant is False and cell.artifact_dir:
                     _archive_divergence(cell, result, replay)
         expected = scenario.expect(result) if scenario.expect else None
-        return CellResult(
-            scenario=cell.scenario,
-            seed=cell.seed,
-            mode=cell.mode,
-            repeat=cell.repeat,
-            jitter_seed=cell.jitter_seed,
-            window_us=cell.window_us,
-            jitter_us=cell.jitter_us,
-            snapshots=cell.snapshots,
+        return cell_result(
+            cell,
             fingerprint=result.fingerprint,
             replay_fingerprint=replay_fp,
             invariant_ok=invariant,
@@ -1389,37 +1393,11 @@ def run_cell(cell: SweepCell) -> CellResult:
             wall_seconds=time.perf_counter() - start,
         )
     except Exception as exc:  # pragma: no cover - exercised via error cells
-        return CellResult(
-            scenario=cell.scenario,
-            seed=cell.seed,
-            mode=cell.mode,
-            repeat=cell.repeat,
-            jitter_seed=cell.jitter_seed,
-            window_us=cell.window_us,
-            jitter_us=cell.jitter_us,
-            snapshots=cell.snapshots,
+        return cell_result(
+            cell,
             wall_seconds=time.perf_counter() - start,
             error=f"{type(exc).__name__}: {exc}",
         )
-
-
-def _merge_streamed(cell: SweepCell, payload: Dict) -> CellResult:
-    """Rebuild a :class:`CellResult` from a streamed record's payload.
-
-    The fixed-width record intentionally omits the cell identity (the
-    parent already holds the grid); this re-attaches it.
-    """
-    return CellResult(
-        scenario=cell.scenario,
-        seed=cell.seed,
-        mode=cell.mode,
-        repeat=cell.repeat,
-        jitter_seed=cell.jitter_seed,
-        window_us=cell.window_us,
-        jitter_us=cell.jitter_us,
-        snapshots=cell.snapshots,
-        **payload,
-    )
 
 
 def _spawn_portable(name: str) -> bool:
@@ -1777,30 +1755,15 @@ class SweepReport:
         }
 
 
-#: Fixed override for the shared-memory result ring's slot count.  The
-#: default (``None``) sizes the ring adaptively from the grid size and
-#: the record width (:func:`repro.sweep_stream.adaptive_ring_capacity`);
-#: set an integer to pin it (tests use tiny rings to exercise
-#: backpressure).
-STREAM_RING_CAPACITY: Optional[int] = None
-
-
 class SweepRunner:
     """Shard a scenario x seed x mode grid across worker processes.
 
     ``workers=1`` runs everything inline (same process, deterministic
-    order); ``workers>1`` fans cells out to a process pool.  Either way
-    :meth:`run` returns results ordered by the grid, so two runs of the
-    same grid are comparable cell by cell.
-
-    With ``workers > 1`` and ``transport="shm"`` (the default), workers
-    append fixed-width result records to a bounded
-    :mod:`multiprocessing.shared_memory` ring that the parent consumes
-    incrementally (:mod:`repro.sweep_stream`): progress callbacks fire
-    in *completion* order as cells finish, and the parent never holds
-    more than the ring's worth of in-flight transport state.
-    ``transport="futures"`` keeps the one-pickled-future-per-cell path
-    (the pre-streaming behavior, retained for comparison benchmarks).
+    order); ``workers>1`` fans cells out to a process pool, where each
+    worker returns its result on its own future and at most a window of
+    futures is in flight, so progress callbacks fire in *completion*
+    order.  Either way :meth:`run` returns results ordered by the grid,
+    and a cell's result does not depend on the worker count.
 
     ``repeats=K`` arms the **seed-invariance probe**: every
     (scenario, seed, mode) cell runs under ``K`` jitter seeds (repeat 0
@@ -1816,7 +1779,6 @@ class SweepRunner:
         modes: Optional[Sequence[str]] = None,
         workers: int = 1,
         repeats: int = 1,
-        transport: str = "shm",
         snapshots: Optional[str] = None,
         artifact_dir: Optional[str] = None,
         cell_timeout_s: Optional[float] = None,
@@ -1828,22 +1790,14 @@ class SweepRunner:
             raise ValueError("workers must be >= 1")
         if repeats < 1:
             raise ValueError("repeats must be >= 1")
-        if transport not in ("shm", "futures"):
-            raise ValueError(f"unknown transport {transport!r}")
         #: Supervision policy (see :mod:`repro.supervise`): armed when a
-        #: per-cell deadline or a retry budget is configured, inert
-        #: otherwise -- the legacy execution paths are untouched unless
-        #: the caller opts in.
+        #: per-cell deadline or a retry budget is configured, ``None``
+        #: (inert) otherwise.
         self.policy = None
         if cell_timeout_s is not None or retries is not None:
             from repro.supervise import SupervisionPolicy
             from repro.supervise.executor import DEFAULT_RETRIES
 
-            if transport == "futures":
-                raise ValueError(
-                    "supervised execution (cell_timeout_s/retries) requires "
-                    "the shm transport"
-                )
             self.policy = SupervisionPolicy(
                 cell_timeout_s=cell_timeout_s,
                 retries=retries if retries is not None else DEFAULT_RETRIES,
@@ -1874,7 +1828,6 @@ class SweepRunner:
         self.modes = tuple(modes) if modes is not None else None
         self.workers = workers
         self.repeats = repeats
-        self.transport = transport
         self.snapshots = snapshots
         #: Directory Theorem-1 divergences are archived into as run
         #: bundles (None: no archiving); see :attr:`SweepCell.artifact_dir`.
@@ -1935,9 +1888,9 @@ class SweepRunner:
     def run(self, progress: Optional[Callable[[CellResult], None]] = None) -> SweepReport:
         """Run the whole grid and aggregate a :class:`SweepReport`.
 
-        ``progress`` fires once per finished cell -- in grid order for
-        serial/futures execution, in completion order for the streamed
-        transport.  The report's cell list is always grid-ordered.
+        ``progress`` fires once per finished cell -- in grid order
+        inline, in completion order on a pool.  The report's cell list
+        is always grid-ordered.
         """
         cells = self.grid()
         start = time.perf_counter()
@@ -1954,7 +1907,7 @@ class SweepRunner:
         cells: Sequence[SweepCell],
         progress: Optional[Callable[[CellResult], None]] = None,
     ) -> List[CellResult]:
-        """Execute an explicit cell list (same transports as :meth:`run`),
+        """Execute an explicit cell list (same execution as :meth:`run`),
         returning results in the given cell order.
 
         This is the execution surface for callers that build their own
@@ -1983,10 +1936,9 @@ class SweepRunner:
         cells: Sequence[SweepCell],
         progress: Optional[Callable[[CellResult], None]],
     ):
-        """Dispatch + the journal/resume wrapper around every transport.
+        """The journal/resume wrapper around :meth:`_execute`.
 
-        Without a journal or resume directory this is a pass-through to
-        :meth:`_execute` (the legacy paths, byte-identical behavior).
+        Without a journal or resume directory this is a pass-through.
         With one, completed cells from the resume journal are yielded
         first (outcome ``resumed``, no execution), and every newly
         executed cell is durably journaled before it is yielded -- so a
@@ -2034,252 +1986,31 @@ class SweepRunner:
         cells: Sequence[SweepCell],
         progress: Optional[Callable[[CellResult], None]],
     ):
-        if self.policy is not None and cells:
-            yield from self._iter_supervised(cells, progress)
-        elif self.workers == 1 or not cells:
-            for index, cell in enumerate(cells):
-                result = run_cell(cell)
-                if progress is not None:
-                    progress(result)
-                yield index, result
-        elif self.transport == "futures":
-            yield from self._iter_futures(cells, progress)
-        else:
-            yield from self._iter_streamed(cells, progress)
+        """The two execution paths: inline, or a windowed worker pool.
 
-    def _iter_supervised(self, cells, progress):
-        """Supervised execution: deadlines, classified retries, quarantine.
-
-        ``workers=1`` without a deadline retries inline (no pool); any
-        configured deadline needs a separate process to reap, so those
-        grids run on a supervised pool even single-worker.
+        A deadline needs a separate process to reap, so a grid with one
+        runs on the pool even single-worker.
         """
-        from repro.supervise.executor import (
-            inline_supervised_iter,
-            supervised_iter,
-        )
+        from repro.supervise.executor import inline_iter, pool_iter
 
-        if self.workers == 1 and self.policy.cell_timeout_s is None:
-            yield from inline_supervised_iter(
-                cells,
-                self.policy,
-                artifact_dir=self.artifact_dir,
-                progress=progress,
+        policy = self.policy
+        if not cells or (
+            self.workers == 1 and (policy is None or policy.cell_timeout_s is None)
+        ):
+            yield from inline_iter(
+                cells, policy, artifact_dir=self.artifact_dir, progress=progress
             )
-            return
+        else:
+            import multiprocessing
 
-        import multiprocessing
-
-        from repro.sweep_stream import adaptive_ring_capacity
-
-        ctx = self._worker_context() or multiprocessing.get_context()
-        capacity = (
-            adaptive_ring_capacity(len(cells))
-            if STREAM_RING_CAPACITY is None
-            else max(2, min(len(cells), STREAM_RING_CAPACITY))
-        )
-        produced = 0
-        try:
-            for item in supervised_iter(
+            yield from pool_iter(
                 cells,
                 workers=self.workers,
-                ctx=ctx,
-                policy=self.policy,
-                ring_capacity=capacity,
-                artifact_dir=self.artifact_dir,
-                progress=progress,
-            ):
-                produced += 1
-                yield item
-        except OSError as exc:  # pragma: no cover - no usable shared memory
-            if produced:
-                raise
-            import warnings
-
-            warnings.warn(
-                f"shared-memory result ring unavailable ({exc}); watchdog "
-                "deadlines disabled, falling back to inline supervised "
-                "execution",
-                RuntimeWarning,
-                stacklevel=3,
-            )
-            yield from inline_supervised_iter(
-                cells,
-                self.policy,
+                ctx=self._worker_context() or multiprocessing.get_context(),
+                policy=policy,
                 artifact_dir=self.artifact_dir,
                 progress=progress,
             )
-
-    def _iter_futures(self, cells, progress):
-        """Legacy transport: one pickled result future per grid cell."""
-        with ProcessPoolExecutor(
-            max_workers=self.workers, mp_context=self._worker_context()
-        ) as pool:
-            for index, result in enumerate(pool.map(run_cell, cells)):
-                if progress is not None:
-                    progress(result)
-                yield index, result
-
-    def _iter_streamed(self, cells, progress):
-        """Shared-memory transport: workers append fixed-width records
-        to a bounded ring; the parent consumes incrementally.
-
-        A worker that dies without reporting (hard crash, OOM kill)
-        surfaces as a failed cell -- the pool breaks, the ring is
-        drained, and every unreported cell yields a synthesized error
-        result instead of hanging the sweep.
-        """
-        import multiprocessing
-        from concurrent.futures import wait
-
-        from repro.sweep_stream import (
-            ResultRing,
-            adaptive_ring_capacity,
-            decode_record,
-        )
-
-        ctx = self._worker_context() or multiprocessing.get_context()
-        capacity = (
-            adaptive_ring_capacity(len(cells))
-            if STREAM_RING_CAPACITY is None
-            else max(2, min(len(cells), STREAM_RING_CAPACITY))
-        )
-        try:
-            ring = ResultRing.create(capacity=capacity, lock=ctx.Lock())
-        except OSError as exc:  # pragma: no cover - no usable shared memory
-            import warnings
-
-            warnings.warn(
-                f"shared-memory result ring unavailable ({exc}); falling "
-                "back to the per-future transport",
-                RuntimeWarning,
-                stacklevel=3,
-            )
-            yield from self._iter_futures(cells, progress)
-            return
-
-        from repro.sweep_stream import stream_worker_init, run_streamed_cell
-
-        seen: set = set()
-
-        def drain():
-            for raw in ring.pop_all():
-                index, payload = decode_record(raw)
-                seen.add(index)
-                result = _merge_streamed(cells[index], payload)
-                if progress is not None:
-                    progress(result)
-                yield index, result
-
-        from concurrent.futures.process import BrokenProcessPool
-
-        #: pool-wide breakage (worker hard death): stop submitting.
-        fatal: Optional[BaseException] = None
-        #: per-cell transport failures (e.g. a ring push timeout): the
-        #: pool is healthy, so the rest of the grid keeps running.
-        cell_failures: Dict[int, BaseException] = {}
-        try:
-            with ProcessPoolExecutor(
-                max_workers=self.workers,
-                mp_context=ctx,
-                initializer=stream_worker_init,
-                initargs=(ring.name, ring.lock, ring.capacity),
-            ) as pool:
-                # Windowed submission: per-cell futures are exactly the
-                # parent-side overhead the ring exists to avoid, so only
-                # a scheduling window's worth are ever in flight --
-                # enough queue depth to keep every worker busy, O(window)
-                # instead of O(grid) parent state.
-                window = max(4 * self.workers, 16)
-                backlog = iter(enumerate(cells))
-                pending: Dict = {}  # future -> cell index
-
-                def top_up() -> None:
-                    nonlocal fatal
-                    while fatal is None and len(pending) < window:
-                        try:
-                            index, cell = next(backlog)
-                        except StopIteration:
-                            return
-                        try:
-                            future = pool.submit(run_streamed_cell, index, cell)
-                        except Exception as exc:  # pool broke mid-grid
-                            fatal = exc
-                            return
-                        pending[future] = index
-
-                from repro.sweep_stream import ResultPushError
-
-                try:
-                    top_up()
-                    while pending:
-                        done, _ = wait(list(pending), timeout=0.05)
-                        for future in done:
-                            index = pending.pop(future)
-                            exc = future.exception()
-                            if exc is None:
-                                continue
-                            if isinstance(exc, BrokenProcessPool):
-                                if fatal is None:
-                                    fatal = exc
-                            elif isinstance(exc, ResultPushError):
-                                # the cell finished; its encoded record
-                                # rode the exception -- recover it instead
-                                # of reporting an opaque transport failure
-                                try:
-                                    _idx, payload = decode_record(exc.record)
-                                except Exception:
-                                    cell_failures[index] = exc
-                                else:
-                                    seen.add(index)
-                                    result = _merge_streamed(
-                                        cells[index], payload
-                                    )
-                                    if progress is not None:
-                                        progress(result)
-                                    yield index, result
-                            else:
-                                cell_failures[index] = exc
-                        if fatal is None:
-                            top_up()
-                        yield from drain()
-                except GeneratorExit:
-                    # consumer abandoned the stream: stop writers fast so
-                    # pool shutdown doesn't wait out blocked pushes
-                    ring.close_for_writers()
-                    pool.shutdown(wait=False, cancel_futures=True)
-                    raise
-            yield from drain()
-            for index, cell in enumerate(cells):
-                if index in seen:
-                    continue
-                failure = cell_failures.get(index)
-                if failure is not None:
-                    error = (
-                        "cell failed to report its result: "
-                        f"{type(failure).__name__}: {failure}"
-                    )
-                else:
-                    error = (
-                        "worker process died before reporting this cell"
-                        + (f": {fatal}" if fatal is not None else "")
-                    )
-                result = CellResult(
-                    scenario=cell.scenario,
-                    seed=cell.seed,
-                    mode=cell.mode,
-                    repeat=cell.repeat,
-                    jitter_seed=cell.jitter_seed,
-                    window_us=cell.window_us,
-                    jitter_us=cell.jitter_us,
-                    snapshots=cell.snapshots,
-                    error=error,
-                )
-                if progress is not None:
-                    progress(result)
-                yield index, result
-        finally:
-            ring.destroy()
 
 
 # ----------------------------------------------------------------------

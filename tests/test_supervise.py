@@ -2,12 +2,12 @@
 
 Covers the failure classifier, the backoff ladder, the heartbeat board,
 the durable cell journal, and -- through fault-injectable worker shims
-(sleep-forever, SIGKILL-self, fail-once-then-succeed, ring-stall) --
-the pooled supervision loop itself: hung workers are reaped within the
-deadline, transient failures retry within the budget and quarantine
-past it, deterministic failures are never re-executed, ring-push
-failures recover the finished record from the exception, and a resumed
-grid re-executes nothing while reporting semantically identically.
+(sleep-forever, SIGKILL-self, fail-once-then-succeed) -- the pooled
+supervision loop itself: hung workers are reaped within the deadline,
+transient failures retry within the budget and quarantine past it,
+deterministic failures are never re-executed, a deadline without
+shared memory fails loudly, and a resumed grid re-executes nothing
+while reporting semantically identically.
 """
 
 from __future__ import annotations
@@ -15,7 +15,6 @@ from __future__ import annotations
 import dataclasses
 import multiprocessing
 import os
-import pickle
 import signal
 import time
 
@@ -39,7 +38,6 @@ from repro.supervise import (
 )
 from repro.supervise.journal import cell_identity, journal_summary
 from repro.sweep import CellResult, SweepCell, SweepRunner
-from repro.sweep_stream import ResultPushError, ResultRing, decode_record, encode_result
 
 needs_fork = pytest.mark.skipif(
     "fork" not in multiprocessing.get_all_start_methods(),
@@ -110,12 +108,6 @@ def _deterministic_error_run_cell(cell):
     return result
 
 
-def _stalled_push(self, record, poll_interval=0.001, timeout=30.0):
-    raise TimeoutError(
-        f"result ring full and consumer not draining (capacity {self.capacity})"
-    )
-
-
 def _cell(**overrides) -> SweepCell:
     base = dict(scenario="flap-storm", seed=1, mode="vanilla")
     base.update(overrides)
@@ -135,9 +127,7 @@ class TestClassifier:
         "worker process died while the cell was running",
         "BrokenProcessPool: A child process terminated abruptly",
         "worker pool broken while the cell was executing",
-        "result ring full and consumer not draining (capacity 4)",
-        "RingClosedError: result ring closed by consumer",
-        "cell failed to report its result: ValueError",
+        "cell failed to report its result: MemoryError: pickling the result",
     ])
     def test_infra_failures_are_transient(self, error):
         assert classify_error(error) == TRANSIENT
@@ -147,6 +137,7 @@ class TestClassifier:
         "expectation failed",
         "ValueError: scenario rejected the seed",
         "Theorem-1 invariant violated",
+        "cell failed to report its result: ValueError: refuses to pickle",
     ])
     def test_semantic_failures_are_deterministic(self, error):
         assert classify_error(error) == DETERMINISTIC
@@ -204,6 +195,17 @@ class TestHeartbeatBoard:
             peer.clear(0, pid=4242)
             assert board.active() == []
             peer.destroy()
+        finally:
+            board.destroy()
+
+    def test_start_stamped_before_boot_packs_and_is_overdue(self):
+        """On a host younger than the backdating offset the stamp is
+        negative: it must still pack, read back, and count as overdue."""
+        board = HeartbeatBoard.create(1)
+        try:
+            board._write(0, 4242, 3, -5_000_000_000)
+            assert board.read(0) == (4242, 3, -5_000_000_000)
+            assert [e[2] for e in board.overdue(1.0, now_ns=0)] == [2]
         finally:
             board.destroy()
 
@@ -278,22 +280,6 @@ class TestJournal:
         identity = set(cell_identity(_cell()))
         cell_fields = {f.name for f in dataclasses.fields(SweepCell)}
         assert identity == cell_fields - {"artifact_dir"}
-
-
-# ----------------------------------------------------------------------
-# ResultPushError transport
-# ----------------------------------------------------------------------
-
-class TestResultPushError:
-    def test_pickles_across_process_boundary(self):
-        record = encode_result(4, _ok_run_cell(_cell(seed=4)))
-        exc = ResultPushError(4, record, "TimeoutError: ring full")
-        clone = pickle.loads(pickle.dumps(exc))
-        assert clone.index == 4
-        assert clone.record == record
-        assert clone.cause == "TimeoutError: ring full"
-        index, payload = decode_record(clone.record)
-        assert index == 4 and payload["fingerprint"].startswith("fp|")
 
 
 # ----------------------------------------------------------------------
@@ -388,27 +374,26 @@ class TestSupervisedPool:
         ]
         assert len(executions) == 1, "deterministic results must not be retried"
 
-    def test_ring_stall_recovers_records_from_the_exception(self, monkeypatch):
-        """With every push failing, each finished cell's record rides
-        its ResultPushError back to the parent; nothing re-executes and
-        nothing is lost (the ISSUE's retryable-transport satellite)."""
-        monkeypatch.setattr(sweep_mod, "run_cell", _ok_run_cell)
-        monkeypatch.setattr(ResultRing, "push", _stalled_push)
-        runner = SweepRunner(
-            scenarios=["flap-storm"], seeds=(1, 2, 3, 4),
-            modes=("vanilla",), workers=2, retries=1,
-        )
-        report = runner.run()
-        assert report.coverage()["completed"] == 4
-        assert all(c.attempts == 1 for c in report.cells)
-        assert all(c.fingerprint.startswith("fp|") for c in report.cells)
+    def test_deadline_without_shared_memory_fails_at_run_start(
+        self, monkeypatch
+    ):
+        """The watchdog's heartbeat board lives in shared memory; a host
+        without it must refuse the deadline loudly, not drop it."""
+        from multiprocessing import shared_memory
 
-    def test_supervision_requires_the_shm_transport(self):
-        with pytest.raises(ValueError, match="shm transport"):
-            SweepRunner(
-                scenarios=["flap-storm"], seeds=(1,), workers=2,
-                transport="futures", retries=2,
-            )
+        def no_shm(*args, **kwargs):
+            raise OSError(38, "Function not implemented")
+
+        monkeypatch.setattr(sweep_mod, "run_cell", _ok_run_cell)
+        monkeypatch.setattr(shared_memory, "SharedMemory", no_shm)
+        runner = SweepRunner(
+            scenarios=["flap-storm"], seeds=(1, 2), modes=("vanilla",),
+            workers=2, cell_timeout_s=5.0,
+        )
+        seen = []
+        with pytest.raises(RuntimeError, match="shared memory"):
+            runner.run(progress=seen.append)
+        assert seen == [], "no cell may run once the deadline is refused"
 
 
 # ----------------------------------------------------------------------

@@ -1,14 +1,21 @@
 """Tests for the scenario-sweep subsystem (:mod:`repro.sweep`)."""
 
+import dataclasses
+import multiprocessing
+import warnings
+
 import pytest
 
 from _fixtures import square_graph
 
 from repro.simnet.engine import SECOND
 from repro.simnet.events import LINK_DOWN, LINK_UP, NODE_DOWN, NODE_UP
+import repro.sweep as sweep_mod
 from repro.sweep import (
+    CellResult,
     Scenario,
     SweepCell,
+    SweepReport,
     SweepRunner,
     crash_restart_schedule,
     ddos_overload_schedule,
@@ -215,18 +222,80 @@ class TestSweepRunner:
             SweepRunner(workers=0)
         with pytest.raises(ValueError):
             SweepRunner(repeats=0)
-        with pytest.raises(ValueError):
-            SweepRunner(transport="carrier-pigeon")
+        with pytest.raises(TypeError):
+            SweepRunner(transport="futures")  # one execution path, no knob
 
-    def test_result_transports_agree(self):
-        """The shared-memory streaming transport and the legacy
-        per-future transport are interchangeable, cell for cell."""
-        kwargs = dict(scenarios=["latency-jitter"], seeds=(1,), repeats=2)
-        shm = SweepRunner(workers=2, transport="shm", **kwargs).run()
-        futures = SweepRunner(workers=2, transport="futures", **kwargs).run()
-        assert shm.ok(), shm.render()
-        assert futures.ok(), futures.render()
-        assert shm.fingerprint_index() == futures.fingerprint_index()
+
+#: More than 256 bytes, multi-byte characters included.
+_LONG_ERROR = "RuntimeError: " + "défaut à la frontière du groupe; " * 12
+
+
+def _long_error_run_cell(cell):
+    return CellResult(
+        scenario=cell.scenario, seed=cell.seed, mode=cell.mode,
+        error=_LONG_ERROR,
+    )
+
+
+def _digest(cells, workers):
+    return SweepReport(
+        cells=cells, seeds=(1,), workers=workers, repeats=1
+    ).semantic_digest()
+
+
+class TestWorkerCountInvariance:
+    """A cell's reported result is a function of the cell alone: the
+    worker count must not change it."""
+
+    @pytest.mark.filterwarnings("ignore::repro.core.shim.HistoryWindowWarning")
+    def test_cell_result_and_digest_match_across_worker_counts(self):
+        # undersized window under heavy jitter: many nodes go late, so
+        # the per-node headroom is large
+        cell = SweepCell(
+            "flap-storm@20", seed=1, mode="defined", window_us=50_000,
+            jitter_us=300_000, check_invariant=False,
+        )
+        runner = dict(scenarios=["flap-storm@20"], seeds=(1,))
+        (inline,) = SweepRunner(workers=1, **runner).run_cells([cell])
+        (pooled,) = SweepRunner(workers=2, **runner).run_cells([cell])
+        assert inline.error is None
+        assert len(inline.node_headroom) > 8
+        assert dataclasses.replace(inline, wall_seconds=0.0) == \
+            dataclasses.replace(pooled, wall_seconds=0.0)
+        assert _digest([inline], 1) == _digest([pooled], 2)
+
+    @pytest.mark.skipif(
+        "fork" not in multiprocessing.get_all_start_methods(),
+        reason="the stubbed run_cell reaches workers by fork inheritance",
+    )
+    def test_long_error_text_comes_back_byte_for_byte(self, monkeypatch):
+        monkeypatch.setattr(sweep_mod, "run_cell", _long_error_run_cell)
+        assert len(_LONG_ERROR.encode()) > 256
+        (result,) = SweepRunner(
+            scenarios=["flap-storm"], seeds=(1,), workers=2
+        ).run_cells([SweepCell("flap-storm", seed=1, mode="vanilla")])
+        assert result.error == _LONG_ERROR
+
+    def test_host_without_shared_memory_runs_unsupervised_pool(
+        self, monkeypatch
+    ):
+        """An unsupervised pool needs no shared memory: with every
+        segment allocation failing it still finishes, warns nothing, and
+        digests like the inline run."""
+        from multiprocessing import shared_memory
+
+        def no_shm(*args, **kwargs):
+            raise OSError(38, "Function not implemented")
+
+        monkeypatch.setattr(shared_memory, "SharedMemory", no_shm)
+        kwargs = dict(scenarios=["latency-jitter"], seeds=(1,))
+        inline = SweepRunner(workers=1, **kwargs).run()
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            pooled = SweepRunner(workers=2, **kwargs).run()
+        assert pooled.ok(), pooled.render()
+        assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
+        assert pooled.semantic_digest() == inline.semantic_digest()
 
 
 class TestCrashRestartDeterminism:
