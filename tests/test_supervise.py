@@ -108,6 +108,21 @@ def _deterministic_error_run_cell(cell):
     return result
 
 
+class _Unpicklable(str):
+    """A fingerprint that cannot be pickled back to the parent."""
+
+    def __reduce__(self):
+        raise ValueError("result refuses to pickle")
+
+
+def _unpicklable_run_cell(cell):
+    _count_execution(cell)
+    result = _ok_run_cell(cell)
+    if cell.seed == _MARKED_SEED:
+        return dataclasses.replace(result, fingerprint=_Unpicklable("fp"))
+    return result
+
+
 def _cell(**overrides) -> SweepCell:
     base = dict(scenario="flap-storm", seed=1, mode="vanilla")
     base.update(overrides)
@@ -138,6 +153,10 @@ class TestClassifier:
         "ValueError: scenario rejected the seed",
         "Theorem-1 invariant violated",
         "cell failed to report its result: ValueError: refuses to pickle",
+        "cell failed to report its result: PicklingError: Can't pickle "
+        "<function <lambda>>: attribute lookup failed",
+        "cell failed to report its result: TypeError: cannot pickle "
+        "'_thread.lock' object",
     ])
     def test_semantic_failures_are_deterministic(self, error):
         assert classify_error(error) == DETERMINISTIC
@@ -373,6 +392,30 @@ class TestSupervisedPool:
             if line == f"flap-storm|{_MARKED_SEED}|vanilla"
         ]
         assert len(executions) == 1, "deterministic results must not be retried"
+
+    def test_unpicklable_result_is_final_on_first_delivery(
+        self, monkeypatch, tmp_path
+    ):
+        """A result that cannot travel back fails the same way on every
+        run, so a retry budget must not re-execute it."""
+        log = tmp_path / "exec.log"
+        log.touch()
+        monkeypatch.setenv("REPRO_TEST_EXEC_LOG", str(log))
+        monkeypatch.setattr(sweep_mod, "run_cell", _unpicklable_run_cell)
+        runner = SweepRunner(
+            scenarios=["flap-storm"], seeds=(1, _MARKED_SEED),
+            modes=("vanilla",), workers=2, retries=3,
+        )
+        report = runner.run()
+        failed = [c for c in report.cells if c.seed == _MARKED_SEED][0]
+        assert "failed to report its result: ValueError" in failed.error
+        assert (failed.outcome, failed.attempts) == ("completed", 1)
+        executions = [
+            line for line in log.read_text().splitlines()
+            if line == f"flap-storm|{_MARKED_SEED}|vanilla"
+        ]
+        assert len(executions) == 1
+        assert report.coverage()["completed"] == 2
 
     def test_deadline_without_shared_memory_fails_at_run_start(
         self, monkeypatch
